@@ -4,16 +4,39 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <optional>
 
 #include "flow/lower_bounds.hpp"
+#include "obs/metrics.hpp"
 #include "util/error.hpp"
 
 namespace amf::core {
 
 namespace {
+
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Add-on work counters, accumulated locally and published once per call.
+// Every probe is one max-flow, so probes per call is the add-on's share of
+// amf_flow_maxflow_calls.
+struct JctCounters {
+  obs::Counter calls;
+  obs::Counter probes;
+  JctCounters() {
+    auto& reg = obs::Registry::global();
+    calls = reg.counter("amf_core_jct_addon_calls",
+                        "JCT add-on calls on non-empty problems");
+    probes = reg.counter("amf_core_jct_addon_probes",
+                         "lower-bounded flow feasibility probes across all "
+                         "JCT add-on calls");
+  }
+};
+
+JctCounters& jct_counters() {
+  static JctCounters counters;
+  return counters;
 }
+
+}  // namespace
 
 std::vector<double> completion_times(const AllocationProblem& problem,
                                      const Allocation& allocation) {
@@ -111,56 +134,72 @@ Allocation JctAddon::optimize(const AllocationProblem& problem,
     u_cap[static_cast<std::size_t>(j)] = cap;
   }
 
-  // Flow layout: 0 = source, 1..n jobs, n+1..n+m sites, last = sink.
-  const int node_count = 2 + n + m;
-  const flow::NodeId source = 0, sink = node_count - 1;
-  auto job_node = [](int j) { return 1 + j; };
-  auto site_node = [n](int s) { return 1 + n + s; };
-
-  // Feasible realization of the aggregates with per-job guaranteed speed
-  // fractions u[j] (rate at every worked site >= u[j] · ideal rate).
-  auto solve_at = [&](const std::vector<double>& u)
-      -> std::optional<std::vector<double>> {
-    std::vector<flow::BoundedEdge> edges;
-    edges.reserve(static_cast<std::size_t>(n) * (m + 1) + m);
-    for (int j = 0; j < n; ++j) {
-      double agg = aggregates[static_cast<std::size_t>(j)];
-      edges.push_back({source, job_node(j), agg, agg});
-      for (int s = 0; s < m; ++s) {
-        double d = problem.demand(j, s);
-        if (d <= 0.0) continue;
-        double lower = 0.0;
-        double w = problem.workload(j, s);
-        if (w > 0.0 && ideal[static_cast<std::size_t>(j)] > 0.0 &&
-            u[static_cast<std::size_t>(j)] > 0.0) {
-          lower = std::min(
-              d, w * u[static_cast<std::size_t>(j)] /
-                     ideal[static_cast<std::size_t>(j)]);
-        }
-        edges.push_back({job_node(j), site_node(s), lower, d});
-      }
-    }
-    for (int s = 0; s < m; ++s)
-      edges.push_back({site_node(s), sink, 0.0, problem.capacity(s)});
-    return flow::feasible_flow_with_lower_bounds(node_count, edges, source,
-                                                 sink, eps_);
+  // A job's guaranteed rate at site s under speed fraction u: u times its
+  // proportional ideal rate there, capped by the demand.
+  auto lower_for = [&](int j, int s, double u) {
+    double w = problem.workload(j, s);
+    double t_ideal = ideal[static_cast<std::size_t>(j)];
+    if (w <= 0.0 || t_ideal <= 0.0 || u <= 0.0) return 0.0;
+    return std::min(problem.demand(j, s), w * u / t_ideal);
   };
 
-  auto extract = [&](const std::vector<double>& flows) {
+  // Flow layout: 0 = source, 1..n jobs, n+1..n+m sites, last = sink. Edge
+  // order: per job, the source arc (pinned to the aggregate) then its
+  // positive-demand site arcs; then the site→sink arcs. Only the site
+  // arcs' lower bounds change between probes, so the network is built
+  // once and re-solved in place.
+  const int node_count = 2 + n + m;
+  const flow::NodeId source = 0, sink = node_count - 1;
+  struct SiteArc {
+    int job;
+    int site;
+    std::size_t edge;
+  };
+  std::vector<SiteArc> site_arcs;
+  std::vector<flow::BoundedEdge> edges;
+  edges.reserve(static_cast<std::size_t>(n) * (m + 1) + m);
+  for (int j = 0; j < n; ++j) {
+    double agg = aggregates[static_cast<std::size_t>(j)];
+    edges.push_back({source, 1 + j, agg, agg});
+    for (int s = 0; s < m; ++s) {
+      double d = problem.demand(j, s);
+      if (d <= 0.0) continue;
+      site_arcs.push_back({j, s, edges.size()});
+      edges.push_back({1 + j, 1 + n + s, 0.0, d});
+    }
+  }
+  for (int s = 0; s < m; ++s)
+    edges.push_back({1 + n + s, sink, 0.0, problem.capacity(s)});
+  flow::LowerBoundFlow network(node_count, std::move(edges), source, sink,
+                               eps_);
+
+  // Feasible realization of the aggregates with per-job guaranteed speed
+  // fractions u[j] (rate at every worked site >= u[j] · ideal rate). On
+  // success the per-edge flows are in `flows`; `best` holds the last
+  // feasible ones and `best_u` the fractions they were found at.
+  std::vector<double> flows, best, best_u;
+  long long probes = 0;
+  auto solve_at = [&](const std::vector<double>& u) {
+    ++probes;
+    for (const auto& arc : site_arcs)
+      network.set_lower(arc.edge,
+                        lower_for(arc.job, arc.site,
+                                  u[static_cast<std::size_t>(arc.job)]));
+    if (!network.solve()) return false;
+    network.flows(flows);
+    return true;
+  };
+  auto accept = [&](const std::vector<double>& u) {
+    best = flows;
+    best_u = u;
+  };
+
+  auto extract = [&](const std::vector<double>& edge_flows) {
     Matrix a(static_cast<std::size_t>(n),
              std::vector<double>(static_cast<std::size_t>(m), 0.0));
-    // Edge order mirrors solve_at: per job, the source arc then its
-    // positive-demand site arcs.
-    std::size_t idx = 0;
-    for (int j = 0; j < n; ++j) {
-      ++idx;  // source→job arc
-      for (int s = 0; s < m; ++s) {
-        if (problem.demand(j, s) <= 0.0) continue;
-        a[static_cast<std::size_t>(j)][static_cast<std::size_t>(s)] =
-            std::max(0.0, flows[idx]);
-        ++idx;
-      }
-    }
+    for (const auto& arc : site_arcs)
+      a[static_cast<std::size_t>(arc.job)][static_cast<std::size_t>(arc.site)] =
+          std::max(0.0, edge_flows[arc.edge]);
     return a;
   };
 
@@ -176,24 +215,27 @@ Allocation JctAddon::optimize(const AllocationProblem& problem,
       ++unfrozen;
   }
 
-  auto u_at = [&](double f) {
-    std::vector<double> u(u_now);
+  // Fractions of one probe: unfrozen jobs at f·u_cap, frozen ones kept.
+  std::vector<double> u_probe;
+  auto u_at = [&](double f) -> const std::vector<double>& {
+    u_probe = u_now;
     for (int j = 0; j < n; ++j)
       if (!frozen[static_cast<std::size_t>(j)])
-        u[static_cast<std::size_t>(j)] =
+        u_probe[static_cast<std::size_t>(j)] =
             f * u_cap[static_cast<std::size_t>(j)];
-    return u;
+    return u_probe;
   };
 
-  auto best = solve_at(u_now);
-  AMF_ASSERT(best.has_value(),
+  const bool realizable = solve_at(u_now);
+  AMF_ASSERT(realizable,
              "aggregates must be realizable with zero lower bounds");
+  accept(u_now);
   double f_lo = 0.0;
 
   for (int round = 0; round < max_freeze_rounds_ && unfrozen > 0; ++round) {
     // Fast path: everyone can reach their demand-cap ceiling.
-    if (auto full = solve_at(u_at(1.0))) {
-      best = std::move(full);
+    if (solve_at(u_at(1.0))) {
+      accept(u_probe);
       for (int j = 0; j < n; ++j)
         if (!frozen[static_cast<std::size_t>(j)])
           u_now[static_cast<std::size_t>(j)] =
@@ -205,9 +247,9 @@ Allocation JctAddon::optimize(const AllocationProblem& problem,
     double lo = f_lo, hi = 1.0;
     for (int it = 0; it < search_iters_; ++it) {
       double mid = 0.5 * (lo + hi);
-      if (auto flows = solve_at(u_at(mid))) {
+      if (solve_at(u_at(mid))) {
         lo = mid;
-        best = std::move(flows);
+        accept(u_probe);
       } else {
         hi = mid;
       }
@@ -229,15 +271,11 @@ Allocation JctAddon::optimize(const AllocationProblem& problem,
       // it can absorb, site→T where capacity is slack) carries a path
       // from that site to T or back to j. Conservative (freezing early
       // costs a little optimality, never correctness).
-      const Matrix x = extract(*best);
+      const Matrix x = extract(best);
       const double tol = 1e-9 * problem.scale();
 
       auto lower_at = [&](int j, int s) {
-        double w = problem.workload(j, s);
-        if (w <= 0.0 || ideal[static_cast<std::size_t>(j)] <= 0.0) return 0.0;
-        return std::min(problem.demand(j, s),
-                        w * u_now[static_cast<std::size_t>(j)] /
-                            ideal[static_cast<std::size_t>(j)]);
+        return lower_for(j, s, u_now[static_cast<std::size_t>(j)]);
       };
 
       // Reverse reachability to T (any site with slack) through the
@@ -347,10 +385,15 @@ Allocation JctAddon::optimize(const AllocationProblem& problem,
   }
 
   // Final solve at the frozen fractions so the returned allocation honors
-  // every job's guaranteed rate simultaneously.
-  if (auto final_flows = solve_at(u_now)) best = std::move(final_flows);
+  // every job's guaranteed rate simultaneously. A solve is deterministic
+  // in its bounds, so when the last feasible probe already ran at these
+  // fractions its flows are the answer.
+  if (u_now != best_u && solve_at(u_now)) best = flows;
+  JctCounters& counters = jct_counters();
+  counters.calls.add(1);
+  counters.probes.add(probes);
 
-  Matrix shares = extract(*best);
+  Matrix shares = extract(best);
 
   // Per-job refinement: each pass re-splits one job's aggregate optimally
   // against the current residual site capacities (closed form), walking

@@ -59,9 +59,14 @@ class JctAddon {
   explicit JctAddon(double eps = 1e-9, int search_iters = 30,
                     int refine_passes = 2, int max_freeze_rounds = 8);
 
-  /// Returns an allocation with identical aggregates to `base` whose
-  /// completion times are no worse (and usually far better) than base's.
-  /// The result's policy name is base.policy() + "+JCT".
+  /// Returns a feasible allocation with identical aggregates to `base`
+  /// whose largest slowdown is no higher than base's. By construction the
+  /// worst job's demand-normalized speed fraction does not fall below
+  /// base's (up to the 2^-search_iters bisection resolution); when no
+  /// demand cap sits below a job's proportional rate, that is the largest
+  /// slowdown itself. Individual jobs are not protected: one can finish
+  /// later than under base when rate moves to a slower job. The result's
+  /// policy name is base.policy() + "+JCT".
   Allocation optimize(const AllocationProblem& problem,
                       const Allocation& base) const;
 

@@ -8,7 +8,9 @@
 #include <array>
 #include <limits>
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <optional>
 
 #include "flow/lower_bounds.hpp"
 #include "flow/mincost.hpp"
@@ -211,6 +213,123 @@ TEST(LowerBounds, ValidatesInput) {
   EXPECT_THROW(feasible_flow_with_lower_bounds(2, bad, 0, 1),
                util::ContractError);
 }
+
+TEST(LowerBounds, ReusedNetworkValidatesLowerBounds) {
+  LowerBoundFlow problem(2, {{0, 1, 1.0, 3.0}}, 0, 1);
+  EXPECT_THROW(problem.set_lower(0, 4.0), util::ContractError);
+  EXPECT_THROW(problem.set_lower(0, -1.0), util::ContractError);
+  EXPECT_THROW(problem.set_lower(1, 1.0), util::ContractError);
+}
+
+// The excess transformation built with super arcs only where a node's
+// excess is nonzero: an independent construction that LowerBoundFlow's
+// always-present (possibly zero) super arcs must match bit for bit.
+std::optional<std::vector<double>> sparse_lower_bound_flow(
+    int nodes, const std::vector<BoundedEdge>& edges, NodeId source,
+    NodeId sink) {
+  const double eps = FlowNetwork::kDefaultEps;
+  FlowNetwork net(nodes + 2);
+  std::vector<double> excess(static_cast<std::size_t>(nodes), 0.0);
+  std::vector<EdgeId> arc;
+  double scale = 1.0, big = 0.0;
+  for (const auto& e : edges) {
+    arc.push_back(net.add_edge(e.from, e.to, std::max(0.0, e.upper - e.lower)));
+    excess[static_cast<std::size_t>(e.to)] += e.lower;
+    excess[static_cast<std::size_t>(e.from)] -= e.lower;
+    scale = std::max(scale, e.upper);
+    big += e.upper;
+  }
+  net.add_edge(sink, source, std::max(big, scale) * 2.0 + 1.0);
+  double required = 0.0;
+  for (NodeId v = 0; v < nodes; ++v) {
+    const double ex = excess[static_cast<std::size_t>(v)];
+    if (ex > 0.0) {
+      net.add_edge(nodes, v, ex);
+      required += ex;
+    } else if (ex < 0.0) {
+      net.add_edge(v, nodes + 1, -ex);
+    }
+  }
+  if (net.max_flow(nodes, nodes + 1, eps) <
+      required - eps * std::max(1.0, required))
+    return std::nullopt;
+  std::vector<double> out;
+  for (std::size_t i = 0; i < edges.size(); ++i)
+    out.push_back(edges[i].lower + net.flow(arc[i]));
+  return out;
+}
+
+class LowerBoundReuseTest : public ::testing::TestWithParam<int> {};
+
+// One network re-solved through a random sequence of lower-bound updates,
+// infeasible probes interleaved, must agree bit for bit with a network
+// built fresh for every step (no residue of an earlier solve may survive)
+// and with the sparse construction.
+TEST_P(LowerBoundReuseTest, MatchesFreshSolveBitForBit) {
+  util::Rng rng(static_cast<std::uint64_t>(GetParam()) + 700);
+  const int jobs = 6, sites = 5;
+  const int nodes = 2 + jobs + sites;
+  const NodeId source = 0, sink = nodes - 1;
+  // The JCT add-on's shape: source arcs pinned to a realizable aggregate,
+  // job→site arcs whose lower bounds move, site→sink capacities.
+  std::vector<double> load(static_cast<std::size_t>(sites), 0.0);
+  std::vector<BoundedEdge> edges;
+  std::vector<std::size_t> movable;
+  for (int j = 0; j < jobs; ++j) {
+    const std::size_t source_arc = edges.size();
+    edges.push_back({source, 1 + j, 0.0, 0.0});
+    double aggregate = 0.0;
+    for (int s = 0; s < sites; ++s) {
+      if (!rng.bernoulli(0.6)) continue;
+      const double demand = rng.uniform(1.0, 10.0);
+      const double share = demand * rng.uniform();
+      aggregate += share;
+      load[static_cast<std::size_t>(s)] += share;
+      movable.push_back(edges.size());
+      edges.push_back({1 + j, 1 + jobs + s, 0.0, demand});
+    }
+    edges[source_arc].lower = edges[source_arc].upper = aggregate;
+  }
+  for (int s = 0; s < sites; ++s)
+    edges.push_back({1 + jobs + s, sink, 0.0,
+                     load[static_cast<std::size_t>(s)] + rng.uniform(0.0, 2.0)});
+
+  LowerBoundFlow reused(nodes, edges, source, sink);
+  std::vector<double> flows;
+  int feasible = 0, infeasible = 0;
+  for (int step = 0; step < 60; ++step) {
+    const double level = rng.uniform(0.0, 0.6);
+    for (std::size_t i : movable) {
+      edges[i].lower = edges[i].upper * std::min(1.0, level * rng.uniform(0.0, 2.0));
+      reused.set_lower(i, edges[i].lower);
+    }
+    const auto fresh = feasible_flow_with_lower_bounds(nodes, edges, source, sink);
+    const auto sparse = sparse_lower_bound_flow(nodes, edges, source, sink);
+    const bool ok = reused.solve();
+    ASSERT_EQ(ok, fresh.has_value()) << "step " << step;
+    ASSERT_EQ(ok, sparse.has_value()) << "step " << step;
+    if (!ok) {
+      ++infeasible;
+      continue;
+    }
+    ++feasible;
+    reused.flows(flows);
+    ASSERT_EQ(flows.size(), fresh->size());
+    EXPECT_EQ(std::memcmp(flows.data(), fresh->data(),
+                          flows.size() * sizeof(double)),
+              0)
+        << "step " << step;
+    EXPECT_EQ(std::memcmp(flows.data(), sparse->data(),
+                          flows.size() * sizeof(double)),
+              0)
+        << "step " << step;
+  }
+  // The sequence must exercise both outcomes for the check to mean much.
+  EXPECT_GT(feasible, 0);
+  EXPECT_GT(infeasible, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LowerBoundReuseTest, ::testing::Range(0, 20));
 
 Matrix kDemands3x2{{10, 0}, {10, 10}, {0, 10}};
 std::vector<double> kCaps2{10, 10};
